@@ -160,15 +160,6 @@ class BucketingAlgorithm(AllocationAlgorithm):
     shared prediction rules of Section IV-A on top of
     :class:`~repro.core.buckets.BucketState`.
 
-    ``rebucket_interval`` bounds how often the (expensive) partition
-    search actually runs: the break indices are recomputed from scratch
-    only every k-th new record; in between, the cached partition is
-    *re-anchored* onto the grown record list — each cached bucket
-    boundary value is mapped back to the last record at or below it with
-    one ``searchsorted``, and the bucket statistics are refreshed from
-    the prefix sums (O(buckets), not O(records)).  The default k=1
-    recomputes on every record, which is the paper-exact behaviour.
-
     Subclasses implement :meth:`compute_break_indices`, returning the
     sorted inclusive upper-end record indices of each bucket.
     """
@@ -180,24 +171,15 @@ class BucketingAlgorithm(AllocationAlgorithm):
         self,
         rng: Optional[np.random.Generator] = None,
         record_capacity: Optional[int] = None,
-        rebucket_interval: int = 1,
         record_compaction: str = "evict_min",
     ) -> None:
         super().__init__(rng=rng)
-        if rebucket_interval < 1:
-            raise ValueError(
-                f"rebucket_interval must be >= 1, got {rebucket_interval}"
-            )
         self._records = RecordList(
             capacity=record_capacity, compaction=record_compaction
         )
-        self._rebucket_interval = rebucket_interval
         self._state: Optional[BucketState] = None
         self._dirty = True
         self._recomputations = 0
-        self._reanchors = 0
-        self._updates_since_recompute = 0
-        self._cached_break_values: Optional[np.ndarray] = None
         self._partition_engine = self._make_partition_engine()
 
     # -- subclass hooks ---------------------------------------------------------
@@ -236,7 +218,6 @@ class BucketingAlgorithm(AllocationAlgorithm):
             inserted = None if (pos is None and eviction is None) else float(value)
             engine.observe(inserted, eviction, pos)
         self._dirty = True
-        self._updates_since_recompute += 1
 
     def predict(self) -> Optional[float]:
         state = self.state
@@ -259,25 +240,13 @@ class BucketingAlgorithm(AllocationAlgorithm):
     def state(self) -> Optional[BucketState]:
         """Current bucket state, recomputed on demand; None if no records.
 
-        With the default ``rebucket_interval=1`` every new record forces
-        a full partition search (paper-exact).  With a larger interval,
-        intermediate states re-anchor the cached break values onto the
-        grown record list, deferring the search until the k-th record.
+        Every new record forces a full partition search (paper-exact).
         """
         if not self._records:
             return None
         if self._dirty or self._state is None:
-            if (
-                self._state is None
-                or self._cached_break_values is None
-                or self._updates_since_recompute >= self._rebucket_interval
-            ):
-                breaks = self.compute_break_indices(self._records)
-                self._recomputations += 1
-                self._updates_since_recompute = 0
-            else:
-                breaks = self._reanchor_break_indices()
-                self._reanchors += 1
+            breaks = self.compute_break_indices(self._records)
+            self._recomputations += 1
             # Stats are handed to the state via the precomputed fast
             # path (bit-identical to recomputation; see BucketState).
             # A partition engine that just scored this exact breaks
@@ -299,38 +268,8 @@ class BucketingAlgorithm(AllocationAlgorithm):
             else:
                 stats = partition_stats(self._records, breaks)
                 self._state = BucketState(self._records, breaks, stats=stats)
-            if self._rebucket_interval > 1:
-                # Boundary values only feed re-anchoring, which never
-                # runs at the paper-exact interval of 1 — skip the
-                # buffer read on the per-decision hot path.
-                self._cached_break_values = self._records.values_at(breaks)
             self._dirty = False
         return self._state
-
-    def _reanchor_break_indices(self) -> list:
-        """Map the cached bucket boundary values onto the current records.
-
-        Each cached boundary was the maximum value of its bucket; after
-        new insertions (or window evictions) the index of the last record
-        at or below that value is found with one vectorized
-        ``searchsorted``.  Degenerate boundaries (below every record, or
-        collapsing onto the same record) drop out; the last record always
-        terminates the partition.
-        """
-        assert self._cached_break_values is not None
-        n = len(self._records)
-        values = self._records._values_buf[:n]
-        idx = np.searchsorted(values, self._cached_break_values, side="right") - 1
-        idx = idx[idx >= 0]
-        breaks: list = []
-        for i in idx:
-            i = int(i)
-            if i >= n - 1:
-                break
-            if not breaks or i > breaks[-1]:
-                breaks.append(i)
-        breaks.append(n - 1)
-        return breaks
 
     @property
     def records(self) -> RecordList:
@@ -345,15 +284,6 @@ class BucketingAlgorithm(AllocationAlgorithm):
         """How many times the full partition search actually ran."""
         return self._recomputations
 
-    @property
-    def reanchors(self) -> int:
-        """How many states were built by re-anchoring the cached partition."""
-        return self._reanchors
-
-    @property
-    def rebucket_interval(self) -> int:
-        return self._rebucket_interval
-
     def reset(self) -> None:
         self._records = RecordList(
             capacity=self._records.capacity,
@@ -362,9 +292,6 @@ class BucketingAlgorithm(AllocationAlgorithm):
         self._state = None
         self._dirty = True
         self._recomputations = 0
-        self._reanchors = 0
-        self._updates_since_recompute = 0
-        self._cached_break_values = None
         self._partition_engine = self._make_partition_engine()
 
     # -- checkpointing ------------------------------------------------------------
@@ -372,20 +299,12 @@ class BucketingAlgorithm(AllocationAlgorithm):
     def _extra_state(self) -> dict:
         # The cached partition is serialized verbatim (it may be stale
         # relative to the records when `_dirty` — the lazy-recompute
-        # window), and the recompute/re-anchor counters come along so a
-        # restored instance takes the exact same recompute-vs-reanchor
-        # decisions an uninterrupted run would.
+        # window), so a restored instance answers exactly as an
+        # uninterrupted run would.
         return {
             "records": self._records.state_dict(),
             "dirty": self._dirty,
             "recomputations": self._recomputations,
-            "reanchors": self._reanchors,
-            "updates_since_recompute": self._updates_since_recompute,
-            "cached_break_values": (
-                None
-                if self._cached_break_values is None
-                else self._cached_break_values.tolist()
-            ),
             "bucket_state": (
                 None if self._state is None else self._state.state_dict()
             ),
@@ -408,12 +327,6 @@ class BucketingAlgorithm(AllocationAlgorithm):
                 self._partition_engine.restore_cache(cache)
         self._dirty = bool(state["dirty"])
         self._recomputations = int(state["recomputations"])
-        self._reanchors = int(state["reanchors"])
-        self._updates_since_recompute = int(state["updates_since_recompute"])
-        cached = state["cached_break_values"]
-        self._cached_break_values = (
-            None if cached is None else np.asarray(cached, dtype=np.float64)
-        )
         saved = state["bucket_state"]
         self._state = None if saved is None else BucketState.from_state(saved)
 

@@ -310,8 +310,8 @@ class IncrementalExhaustivePartition:
     :func:`evenly_spaced_break_indices` and the counts replicate
     ``searchsorted`` by construction, so :meth:`break_indices` feeds
     byte-identical configurations into the same
-    :func:`select_best_partition` scorer as the full search — the engine
-    is default-on at the paper-exact ``rebucket_interval=1``.
+    :func:`select_best_partition` scorer as the full search — which is
+    why the engine is default-on.
 
     Two events invalidate the counts wholesale: a change of the maximum
     record value (every candidate ``v_max * i / k`` moves) and a batch
@@ -623,11 +623,6 @@ class ExhaustiveBucketing(BucketingAlgorithm):
         Optional sliding-window bound on retained records.
     max_buckets:
         Upper bound on the candidate bucket counts; the paper uses 10.
-    rebucket_interval:
-        Run the full configuration search only every k-th new record,
-        re-anchoring the cached partition in between (see
-        :class:`~repro.core.base.BucketingAlgorithm`).  The default 1 is
-        paper-exact.
     incremental:
         Maintain the candidate mappings incrementally with
         :class:`IncrementalExhaustivePartition` (default on).  The
@@ -654,7 +649,6 @@ class ExhaustiveBucketing(BucketingAlgorithm):
         rng: Optional[np.random.Generator] = None,
         record_capacity: Optional[int] = None,
         max_buckets: int = PAPER_MAX_BUCKETS,
-        rebucket_interval: int = 1,
         incremental: bool = True,
         record_compaction: str = "evict_min",
     ) -> None:
@@ -665,7 +659,6 @@ class ExhaustiveBucketing(BucketingAlgorithm):
         super().__init__(
             rng=rng,
             record_capacity=record_capacity,
-            rebucket_interval=rebucket_interval,
             record_compaction=record_compaction,
         )
 

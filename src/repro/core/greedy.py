@@ -341,11 +341,6 @@ class GreedyBucketing(BucketingAlgorithm):
     max_buckets:
         Optional cap on the number of buckets (ablation hook; unset in
         the paper's configuration).
-    rebucket_interval:
-        Run the full partition search only every k-th new record,
-        re-anchoring the cached partition in between (see
-        :class:`~repro.core.base.BucketingAlgorithm`).  The default 1 is
-        paper-exact.
     incremental:
         Repair the previous partition locally with
         :class:`IncrementalGreedyPartition` instead of re-running the
@@ -374,7 +369,6 @@ class GreedyBucketing(BucketingAlgorithm):
         rng: Optional[np.random.Generator] = None,
         record_capacity: Optional[int] = None,
         max_buckets: Optional[int] = None,
-        rebucket_interval: int = 1,
         incremental: bool = False,
         record_compaction: str = "evict_min",
     ) -> None:
@@ -385,7 +379,6 @@ class GreedyBucketing(BucketingAlgorithm):
         super().__init__(
             rng=rng,
             record_capacity=record_capacity,
-            rebucket_interval=rebucket_interval,
             record_compaction=record_compaction,
         )
 

@@ -20,15 +20,11 @@ full search share:
   partition choice made from them) are bit-identical to building the
   state first.
 * :func:`partition_waste` — expected waste ``W_B`` of a configuration,
-  dispatching between three tiers on profile evidence:
+  dispatching between two tiers on profile evidence:
 
   - a **scalar** pure-Python kernel (the canonical rounding order; the
     paper-exact ``K <= 10`` regime, where it beats the numpy
     implementation ~5x by skipping array dispatch entirely);
-  - the same loop **numba-jitted** when numba is importable (a soft
-    dependency — the container this repo targets does not ship it);
-    identical IEEE operation order, so scalar and numba tiers round
-    identically and the choice is invisible to results;
   - a **vectorized** O(K) reformulation for wide partitions
     (``K >= VECTOR_KERNEL_MIN_BUCKETS``), using the suffix-ratio
     identity ``ws(j) = ws(j+1) * suffix(j)/suffix(j+1) + p_j r_j`` to
@@ -52,7 +48,6 @@ import numpy as np
 from repro.core.records import RecordList
 
 __all__ = [
-    "HAVE_NUMBA",
     "VECTOR_KERNEL_MIN_BUCKETS",
     "partition_stats",
     "partition_waste",
@@ -65,7 +60,7 @@ __all__ = [
 #: Bucket count at or above which the vectorized kernel is selected.
 #: Profile evidence (docs/PERFORMANCE.md): below ~32 buckets the numpy
 #: call overhead exceeds the scalar loop's arithmetic; the paper caps
-#: K at 10, so the paper-exact path always takes the scalar/numba tier.
+#: K at 10, so the paper-exact path always takes the scalar tier.
 VECTOR_KERNEL_MIN_BUCKETS = 32
 
 
@@ -222,40 +217,9 @@ def partition_waste_batch(
         return np.where(valid, p * row_totals, 0.0).sum(axis=1)
 
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit  # type: ignore
-
-    HAVE_NUMBA = True
-
-    @_njit(cache=True)
-    def _waste_numba(reps, probs, estimates):  # pragma: no cover
-        n = reps.size
-        suffix = np.zeros(n + 1)
-        acc = 0.0
-        for j in range(n - 1, -1, -1):
-            acc += probs[j]
-            suffix[j] = acc
-        total = 0.0
-        for i in range(n):
-            est = estimates[i]
-            ws = 0.0
-            for j in range(i, n):
-                ws += probs[j] * (reps[j] - est)
-            for j in range(i - 1, -1, -1):
-                ws += probs[j] * (reps[j] + ws / suffix[j + 1])
-            total += probs[i] * ws
-        return total
-
-except Exception:  # numba absent or broken: fall through to pure Python
-    HAVE_NUMBA = False
-    _waste_numba = None
-
-
 def waste_kernel_name(n_buckets: int) -> str:
     """Which tier :func:`partition_waste` picks for ``n_buckets``."""
-    if n_buckets >= VECTOR_KERNEL_MIN_BUCKETS:
-        return "vector"
-    return "numba" if HAVE_NUMBA else "scalar"
+    return "vector" if n_buckets >= VECTOR_KERNEL_MIN_BUCKETS else "scalar"
 
 
 def partition_waste(
@@ -263,8 +227,7 @@ def partition_waste(
 ) -> float:
     """Expected waste ``W_B`` of a configuration, auto-dispatched.
 
-    Scalar (or its numba-compiled twin, identical rounding) below
-    :data:`VECTOR_KERNEL_MIN_BUCKETS` buckets; the re-associated
+    Scalar below :data:`VECTOR_KERNEL_MIN_BUCKETS` buckets; the re-associated
     vectorized kernel at or above it.
     """
     n = len(reps)
@@ -273,13 +236,5 @@ def partition_waste(
             np.asarray(reps, dtype=np.float64),
             np.asarray(probs, dtype=np.float64),
             np.asarray(estimates, dtype=np.float64),
-        )
-    if _waste_numba is not None:  # pragma: no cover - needs numba
-        return float(
-            _waste_numba(
-                np.asarray(reps, dtype=np.float64),
-                np.asarray(probs, dtype=np.float64),
-                np.asarray(estimates, dtype=np.float64),
-            )
         )
     return partition_waste_scalar(reps, probs, estimates)

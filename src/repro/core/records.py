@@ -45,7 +45,7 @@ capacity ablation in :mod:`repro.experiments.ablation`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -523,16 +523,6 @@ class RecordList:
             raise IndexError(
                 f"record range [{lo}, {hi}] out of bounds for {self._n} records"
             )
-
-    def values_at(self, indices: Sequence[int]) -> np.ndarray:
-        """Record values at the given sorted indices.
-
-        Unlike fancy-indexing the :attr:`values` view, this reads the
-        backing buffer directly — O(len(indices)), not the O(n) snapshot
-        copy — which is what keeps incremental partition maintenance
-        independent of the record count (docs/PERFORMANCE.md).
-        """
-        return self._values_buf[: self._n][np.asarray(indices, dtype=np.intp)]
 
     def index_below(self, value: float) -> Optional[int]:
         """Index of the record with the largest value strictly below ``value``.

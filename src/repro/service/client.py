@@ -9,45 +9,52 @@ with the failure semantics ``docs/SERVICE.md`` documents:
   seeded :class:`random.Random` stream (reprolint-R2 clean, and a fixed
   ``RetryPolicy.seed`` makes a retry schedule replayable in tests);
 * client-generated **idempotency keys** (``"<client_id>/<n>"``) on
-  every mutating operation by default, so a retry after an *ambiguous*
-  failure — the connection died after the request was sent, before a
-  response arrived — is answered exactly-once by the server's dedup
-  window rather than double-applied.
+  every mutating operation by default, nested batch requests included,
+  so a retry after an *ambiguous* failure — the connection died after
+  the request was sent, before a response arrived — is answered
+  exactly-once by the server's dedup window rather than double-applied.
 
 The retry decision is principled, not heuristic:
 
 * a **typed retryable error** (``overloaded``, ``timeout``,
-  ``shutting_down`` — see ``RETRYABLE_CODES``) means the server
-  *refused* the request before dispatching it, so resending is always
-  safe, key or no key; ``retry_after`` hints are honored as a backoff
-  floor;
+  ``shutting_down``, ``storage_unavailable`` — see ``RETRYABLE_CODES``)
+  means the server *refused* the request before dispatching it, so
+  resending is always safe, key or no key; ``retry_after`` hints are
+  honored as a backoff floor;
+* any other typed error answering the request is permanent and raises
+  :class:`ServiceError` at once; so does ``too_large`` without an ``id``
+  — the line is over the cap and a resend cannot shrink it — while an
+  ``id``-less ``bad_request`` means the line was garbled in transit and
+  is resent like a retryable refusal;
 * a **transport failure after send** is ambiguous — the operation may
   or may not have been applied.  With an idempotency key the client
   reconnects and resends (the dedup window collapses the duplicate);
   a mutating operation *without* a key raises
   :class:`ServiceUnavailable` instead of risking a double-apply.
 
-Both clients expose the same typed helpers as the in-process
-:class:`~repro.service.AllocationService` (``allocate``,
-``allocate_retry``, ``record``) plus the admin verbs and a raw
-:meth:`call` for tests.
+Everything but the IO is written once, in :class:`_BaseClient`: id/key
+stamping, response matching, the retry decision (which does no IO) and
+every typed helper.  The two clients only connect, close, and run a
+short ``call`` loop that moves bytes and obeys the decision.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import random
 import socket
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.resources import Resource, ResourceVector
 from repro.service.protocol import (
     ERR_SHUTTING_DOWN,
     ERR_TIMEOUT,
+    ERR_TOO_LARGE,
     MAX_LINE_BYTES,
     RETRYABLE_CODES,
     encode,
@@ -84,16 +91,21 @@ class ServiceUnavailable(RuntimeError):
 
 
 class _SessionRefused(Exception):
-    """A no-``id`` error line: the server refused before dispatch."""
+    """A typed error line: the server refused the request before dispatch."""
 
-    def __init__(self, code: str, retry_after: Optional[float]) -> None:
+    def __init__(self, code: str, message: str, retry_after: Optional[float]) -> None:
         super().__init__(code)
         self.code = code
+        self.message = message
         self.retry_after = retry_after
 
 
 class _StreamCorrupt(Exception):
     """The response stream stopped being parseable NDJSON."""
+
+
+#: Failures a ``call`` attempt hands to the retry decision.
+_FAILURES: Tuple[type, ...] = (_SessionRefused, _StreamCorrupt, OSError)
 
 
 @dataclass(frozen=True)
@@ -134,14 +146,28 @@ class RetryPolicy:
 
 
 class _BaseClient:
-    """Shared bookkeeping: ids, idempotency keys, retry classification."""
+    """The transport-free client core shared by both SDKs.
+
+    Typed helpers build their request literal here and hand it to the
+    subclass's ``call``; :meth:`_then` decodes the result — directly in
+    the blocking client, after ``await`` in the asyncio one — so each
+    helper is written once and returns a coroutine under asyncio.
+    """
 
     def __init__(
         self,
+        socket_path: Optional[str] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
         retry: Optional[RetryPolicy] = None,
         auto_key: bool = True,
         client_id: Optional[str] = None,
     ) -> None:
+        if socket_path is None and not port:
+            raise ValueError("give a UNIX socket path or a TCP port")
+        self._socket_path = socket_path
+        self._host = host
+        self._port = port
         self.retry = retry if retry is not None else RetryPolicy()
         self.auto_key = auto_key
         #: Stable prefix of generated idempotency keys.  Injectable so
@@ -161,6 +187,11 @@ class _BaseClient:
         #: Unmatched response lines skipped while matching ids.
         self.skipped_lines = 0
 
+    @staticmethod
+    def _then(pending: Any, decode: Callable[[Dict[str, Any]], Any]) -> Any:
+        """Decode the result of :meth:`call` (the blocking case)."""
+        return decode(pending)
+
     # -- document building -----------------------------------------------------
 
     def _prepare(self, doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -168,18 +199,76 @@ class _BaseClient:
         if "id" not in payload:
             self._next_id += 1
             payload["id"] = f"{self.client_id}#{self._next_id}"
-        if (
-            self.auto_key
-            and payload.get("op") in MUTATING_OPS
-            and "key" not in payload
-        ):
-            payload["key"] = self.new_key()
-        return payload
+        if not self.auto_key:
+            return payload
+        requests = payload.get("requests")
+        if payload.get("op") == "allocate_batch" and isinstance(requests, list):
+            payload["requests"] = [self._keyed(sub) for sub in requests]
+        return self._keyed(payload)
+
+    def _keyed(self, doc: Any) -> Any:
+        """``doc`` with a fresh key if it is a mutating request without one."""
+        if isinstance(doc, dict) and doc.get("op") in MUTATING_OPS and "key" not in doc:
+            return dict(doc, key=self.new_key())
+        return doc
 
     def new_key(self) -> str:
         """A fresh idempotency key: ``"<client_id>/<n>"``."""
         self._next_key += 1
         return f"{self.client_id}/{self._next_key}"
+
+    # -- response matching -----------------------------------------------------
+
+    def _match(self, line: bytes, request_id: Any, skipped: int) -> Optional[Dict[str, Any]]:
+        """One response line: the request's result, a refusal, or noise.
+
+        Returns the result payload when ``line`` answers ``request_id``
+        and ``None`` for a line to skip; raises :class:`ServiceError` for
+        a permanent error answer and ``_SessionRefused`` for a retryable
+        one or for any ``id``-less error (the server refused the session).
+        """
+        try:
+            doc = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise _StreamCorrupt("response line is not valid JSON") from None
+        if not isinstance(doc, dict):
+            raise _StreamCorrupt("response line is not a JSON object")
+        if doc.get("id") == request_id:
+            if doc.get("ok"):
+                result = doc.get("result")
+                return result if isinstance(result, dict) else {}
+            refusal = self._refusal(doc)
+            if refusal.code not in RETRYABLE_CODES:
+                raise ServiceError(refusal.code, refusal.message)
+            raise refusal
+        if "id" not in doc and doc.get("ok") is False:
+            raise self._refusal(doc)
+        self.skipped_lines += 1
+        if skipped + 1 > MAX_SKIPPED_LINES:
+            raise _StreamCorrupt(
+                f"no response matching id {request_id!r} within "
+                f"{MAX_SKIPPED_LINES} lines"
+            )
+        return None
+
+    @staticmethod
+    def _refusal(doc: Dict[str, Any]) -> _SessionRefused:
+        error = doc.get("error") or {}
+        return _SessionRefused(
+            str(error.get("code", "unknown")),
+            str(error.get("message", "")),
+            error.get("retry_after"),
+        )
+
+    # -- the retry decision ----------------------------------------------------
+
+    def _attempts(self) -> Iterator[int]:
+        """Counted attempt numbers, without end: :meth:`_decide` raises on the last."""
+        for attempt in itertools.count():
+            self.attempts += 1
+            if attempt:
+                self.retries += 1
+            yield attempt
 
     @staticmethod
     def _safe_to_resend(payload: Dict[str, Any]) -> bool:
@@ -199,46 +288,37 @@ class _BaseClient:
             return bool(payload.get("key"))
         return True
 
-    @staticmethod
-    def _parse_response(line: bytes) -> Dict[str, Any]:
-        try:
-            doc = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise _StreamCorrupt("response line is not valid JSON") from None
-        if not isinstance(doc, dict):
-            raise _StreamCorrupt("response line is not a JSON object")
-        return doc
+    def _decide(
+        self, payload: Dict[str, Any], failure: BaseException, attempt: int, connected: bool
+    ) -> Tuple[bool, float]:
+        """What to do after ``failure`` ended try ``attempt`` (0-based).
 
-    def _match(
-        self, doc: Dict[str, Any], request_id: Any, skipped: int
-    ) -> Optional[Dict[str, Any]]:
-        """One parsed line: the answer, a refusal, or noise to skip."""
-        if doc.get("id") == request_id:
-            return doc
-        if "id" not in doc and doc.get("ok") is False:
-            error = doc.get("error") or {}
-            raise _SessionRefused(
-                str(error.get("code", "unknown")), error.get("retry_after")
-            )
-        self.skipped_lines += 1
-        if skipped + 1 > MAX_SKIPPED_LINES:
-            raise _StreamCorrupt(
-                f"no response matching id {request_id!r} within "
-                f"{MAX_SKIPPED_LINES} lines"
-            )
-        return None
-
-    def _classify(self, response: Dict[str, Any]) -> Dict[str, Any]:
-        """Raise for error responses; return the result payload."""
-        if response.get("ok"):
-            result = response.get("result")
-            return result if isinstance(result, dict) else {}
-        error = response.get("error") or {}
-        code = str(error.get("code", "unknown"))
-        message = str(error.get("message", ""))
-        if code in RETRYABLE_CODES:
-            raise _SessionRefused(code, error.get("retry_after"))
-        raise ServiceError(code, message)
+        ``connected`` says whether a connection was open when it failed,
+        i.e. whether the request may have reached the server.  Returns
+        ``(drop, delay)``: close the session first or not, then sleep
+        ``delay`` seconds and resend.  Raises :class:`ServiceError` for
+        an ``id``-less ``too_large`` and :class:`ServiceUnavailable`
+        when a resend is unsafe or the attempts are spent; the caller
+        closes its session before letting either escape.
+        """
+        if isinstance(failure, _SessionRefused):
+            # Typed refusal: never dispatched, so a resend is always safe
+            # — but only helps if the request is not over the line cap.
+            if failure.code == ERR_TOO_LARGE:
+                raise ServiceError(failure.code, failure.message)
+            drop = failure.code in (ERR_TIMEOUT, ERR_SHUTTING_DOWN)
+            retry_after = failure.retry_after
+            cause: BaseException = ServiceUnavailable(f"server refused: {failure.code}")
+        else:
+            if connected and not self._safe_to_resend(payload):
+                raise ServiceUnavailable(
+                    "connection failed after an un-keyed mutating request "
+                    "was sent; outcome unknown, refusing to double-apply"
+                ) from failure
+            drop, retry_after, cause = True, None, failure
+        if attempt + 1 >= self.retry.max_attempts:
+            raise ServiceUnavailable(f"{self.retry.max_attempts} attempts exhausted") from cause
+        return drop, self.retry.delay(attempt, self._rng, retry_after)
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -248,6 +328,90 @@ class _BaseClient:
             "skipped_lines": self.skipped_lines,
         }
 
+    # -- typed helpers ---------------------------------------------------------
+
+    def ping(self) -> Any:
+        return self._then(self.call({"op": "ping"}), lambda r: bool(r.get("pong")))
+
+    def server_stats(self) -> Any:
+        return self.call({"op": "stats"})
+
+    def health(self) -> Any:
+        return self.call({"op": "health"})
+
+    def shutdown(self) -> Any:
+        return self._then(self.call({"op": "shutdown"}), lambda r: bool(r.get("shutting_down")))
+
+    def snapshot(self) -> Any:
+        """Force a snapshot cut; returns the written envelope path."""
+        return self._then(self.call({"op": "snapshot"}), lambda r: str(r["path"]))
+
+    def allocate_batch(self, requests: Sequence[Dict[str, Any]]) -> Any:
+        """Submit mutating sub-requests in one round trip.
+
+        Each entry is a mutating request document (``allocate`` /
+        ``allocate_retry`` / ``record``, no nesting); the server answers
+        with one response document per entry, in request order.
+        """
+        doc = {"op": "allocate_batch", "requests": [dict(sub) for sub in requests]}
+        return self._then(self.call(doc), _responses)
+
+    def allocate(self, category: str, task_id: int, key: Optional[str] = None) -> Any:
+        doc: Dict[str, Any] = {"op": OP_ALLOCATE, "category": category, "task_id": task_id}
+        if key is not None:
+            doc["key"] = key
+        return self._then(self.call(doc), _allocation)
+
+    def allocate_retry(
+        self,
+        category: str,
+        task_id: int,
+        previous: ResourceVector,
+        observed: ResourceVector,
+        exhausted: Sequence[Union[Resource, str]],
+        key: Optional[str] = None,
+    ) -> Any:
+        doc: Dict[str, Any] = {
+            "op": OP_RETRY,
+            "category": category,
+            "task_id": task_id,
+            "previous": previous.state_dict(),
+            "observed": observed.state_dict(),
+            "exhausted": [str(res) for res in exhausted],
+        }
+        if key is not None:
+            doc["key"] = key
+        return self._then(self.call(doc), _allocation)
+
+    def record(
+        self,
+        category: str,
+        peaks: ResourceVector,
+        task_id: int,
+        significance: Optional[float] = None,
+        key: Optional[str] = None,
+    ) -> Any:
+        doc: Dict[str, Any] = {
+            "op": OP_RECORD,
+            "category": category,
+            "task_id": task_id,
+            "peaks": peaks.state_dict(),
+        }
+        if significance is not None:
+            doc["significance"] = significance
+        if key is not None:
+            doc["key"] = key
+        return self._then(self.call(doc), lambda r: int(r["records_count"]))
+
+
+def _allocation(result: Dict[str, Any]) -> ResourceVector:
+    return ResourceVector.from_state(result["allocation"])
+
+
+def _responses(result: Dict[str, Any]) -> List[Dict[str, Any]]:
+    responses = result["responses"]
+    return list(responses) if isinstance(responses, list) else []
+
 
 class ServiceClient(_BaseClient):
     """Blocking client over a UNIX socket path or a ``(host, port)`` pair.
@@ -255,25 +419,8 @@ class ServiceClient(_BaseClient):
     Usable as a context manager; safe to call from one thread at a time.
     """
 
-    def __init__(
-        self,
-        socket_path: Optional[str] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        retry: Optional[RetryPolicy] = None,
-        auto_key: bool = True,
-        client_id: Optional[str] = None,
-    ) -> None:
-        if socket_path is None and not port:
-            raise ValueError("give a UNIX socket path or a TCP port")
-        super().__init__(retry=retry, auto_key=auto_key, client_id=client_id)
-        self._socket_path = socket_path
-        self._host = host
-        self._port = port
-        self._sock: Optional[socket.socket] = None
-        self._buffer = b""
-
-    # -- connection ------------------------------------------------------------
+    _sock: Optional[socket.socket] = None
+    _buffer = b""
 
     def connect(self) -> None:
         if self._sock is not None:
@@ -309,8 +456,6 @@ class ServiceClient(_BaseClient):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- wire ------------------------------------------------------------------
-
     def _read_line(self) -> bytes:
         assert self._sock is not None
         while b"\n" not in self._buffer:
@@ -323,19 +468,6 @@ class ServiceClient(_BaseClient):
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line
 
-    def _exchange(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        assert self._sock is not None
-        self._sock.sendall(encode(payload))
-        skipped = 0
-        while True:
-            doc = self._parse_response(self._read_line())
-            matched = self._match(doc, payload["id"], skipped)
-            if matched is not None:
-                return matched
-            skipped += 1
-
-    # -- the request loop ------------------------------------------------------
-
     def call(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """Send one request document; returns the result payload.
 
@@ -345,149 +477,34 @@ class ServiceClient(_BaseClient):
         ambiguous failure cannot safely be retried.
         """
         payload = self._prepare(doc)
-        last: Optional[BaseException] = None
-        for attempt in range(self.retry.max_attempts):
-            self.attempts += 1
-            if attempt:
-                self.retries += 1
+        for attempt in self._attempts():
             try:
                 self.connect()
-                return self._classify(self._exchange(payload))
-            except _SessionRefused as exc:
-                # Typed refusal: never dispatched, always safe to retry.
-                last = ServiceUnavailable(f"server refused: {exc.code}")
-                if exc.code in (ERR_TIMEOUT, ERR_SHUTTING_DOWN):
-                    self._drop()  # that session is done; dial fresh
-                self._sleep(attempt, exc.retry_after)
-            except (OSError, ConnectionError, _StreamCorrupt, socket.timeout) as exc:
-                ambiguous = self._sock is not None
-                self._drop()
-                if ambiguous and not self._safe_to_resend(payload):
-                    raise ServiceUnavailable(
-                        "connection failed after an un-keyed mutating request "
-                        "was sent; outcome unknown, refusing to double-apply"
-                    ) from exc
-                last = exc
-                self._sleep(attempt, None)
-        raise ServiceUnavailable(
-            f"{self.retry.max_attempts} attempts exhausted"
-        ) from last
-
-    def _sleep(self, attempt: int, retry_after: Optional[float]) -> None:
-        if attempt + 1 >= self.retry.max_attempts:
-            return  # no more attempts; skip the pointless sleep
-        time.sleep(self.retry.delay(attempt, self._rng, retry_after))
-
-    # -- typed helpers ---------------------------------------------------------
-
-    def ping(self) -> bool:
-        return bool(self.call({"op": "ping"}).get("pong"))
-
-    def server_stats(self) -> Dict[str, Any]:
-        return self.call({"op": "stats"})
-
-    def health(self) -> Dict[str, Any]:
-        return self.call({"op": "health"})
-
-    def shutdown(self) -> bool:
-        return bool(self.call({"op": "shutdown"}).get("shutting_down"))
-
-    def snapshot(self) -> str:
-        """Force a snapshot cut; returns the written envelope path."""
-        return str(self.call({"op": "snapshot"})["path"])
-
-    def allocate_batch(
-        self, requests: Sequence[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Submit mutating sub-requests in one round trip.
-
-        Each entry is a mutating request document (``allocate`` /
-        ``allocate_retry`` / ``record``, no nesting); the server answers
-        with one response document per entry, in request order.
-        """
-        doc: Dict[str, Any] = {
-            "op": "allocate_batch",
-            "requests": [dict(sub) for sub in requests],
-        }
-        responses = self.call(doc)["responses"]
-        return list(responses) if isinstance(responses, list) else []
-
-    def allocate(
-        self, category: str, task_id: int, key: Optional[str] = None
-    ) -> ResourceVector:
-        doc: Dict[str, Any] = {
-            "op": OP_ALLOCATE,
-            "category": category,
-            "task_id": task_id,
-        }
-        if key is not None:
-            doc["key"] = key
-        return ResourceVector.from_state(self.call(doc)["allocation"])
-
-    def allocate_retry(
-        self,
-        category: str,
-        task_id: int,
-        previous: ResourceVector,
-        observed: ResourceVector,
-        exhausted: Sequence[Union[Resource, str]],
-        key: Optional[str] = None,
-    ) -> ResourceVector:
-        doc: Dict[str, Any] = {
-            "op": OP_RETRY,
-            "category": category,
-            "task_id": task_id,
-            "previous": previous.state_dict(),
-            "observed": observed.state_dict(),
-            "exhausted": [str(res) for res in exhausted],
-        }
-        if key is not None:
-            doc["key"] = key
-        return ResourceVector.from_state(self.call(doc)["allocation"])
-
-    def record(
-        self,
-        category: str,
-        peaks: ResourceVector,
-        task_id: int,
-        significance: Optional[float] = None,
-        key: Optional[str] = None,
-    ) -> int:
-        doc: Dict[str, Any] = {
-            "op": OP_RECORD,
-            "category": category,
-            "task_id": task_id,
-            "peaks": peaks.state_dict(),
-        }
-        if significance is not None:
-            doc["significance"] = significance
-        if key is not None:
-            doc["key"] = key
-        return int(self.call(doc)["records_count"])
+                assert self._sock is not None
+                try:
+                    self._sock.sendall(encode(payload))
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the server may have refused and hung up; read its answer
+                for skipped in itertools.count():
+                    result = self._match(self._read_line(), payload["id"], skipped)
+                    if result is not None:
+                        return result
+            except _FAILURES as exc:
+                try:
+                    drop, delay = self._decide(payload, exc, attempt, self._sock is not None)
+                except (ServiceError, ServiceUnavailable):
+                    self._drop()
+                    raise
+                if drop:
+                    self._drop()
+                time.sleep(delay)
 
 
 class AsyncServiceClient(_BaseClient):
     """asyncio client with the same retry semantics as :class:`ServiceClient`."""
 
-    def __init__(
-        self,
-        socket_path: Optional[str] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        retry: Optional[RetryPolicy] = None,
-        auto_key: bool = True,
-        client_id: Optional[str] = None,
-    ) -> None:
-        if socket_path is None and not port:
-            raise ValueError("give a UNIX socket path or a TCP port")
-        super().__init__(retry=retry, auto_key=auto_key, client_id=client_id)
-        self._socket_path = socket_path
-        self._host = host
-        self._port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-
-    # -- connection ------------------------------------------------------------
+    _reader: Optional[asyncio.StreamReader] = None
+    _writer: Optional[asyncio.StreamWriter] = None
 
     async def connect(self) -> None:
         if self._writer is not None:
@@ -524,151 +541,38 @@ class AsyncServiceClient(_BaseClient):
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
-    # -- wire ------------------------------------------------------------------
+    @staticmethod
+    def _then(pending: Any, decode: Callable[[Dict[str, Any]], Any]) -> Any:
+        async def decoded() -> Any:
+            return decode(await pending)
 
-    async def _exchange(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        assert self._reader is not None and self._writer is not None
-        self._writer.write(encode(payload))
-        await self._writer.drain()
-        skipped = 0
-        while True:
-            line = await asyncio.wait_for(
-                self._reader.readline(), timeout=self.retry.read_timeout
-            )
-            if not line:
-                raise ConnectionError("server closed the connection")
-            doc = self._parse_response(line.rstrip(b"\n"))
-            matched = self._match(doc, payload["id"], skipped)
-            if matched is not None:
-                return matched
-            skipped += 1
-
-    # -- the request loop ------------------------------------------------------
+        return decoded()
 
     async def call(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """Async twin of :meth:`ServiceClient.call` (same semantics)."""
         payload = self._prepare(doc)
-        last: Optional[BaseException] = None
-        for attempt in range(self.retry.max_attempts):
-            self.attempts += 1
-            if attempt:
-                self.retries += 1
+        for attempt in self._attempts():
             try:
                 await self.connect()
-                return self._classify(await self._exchange(payload))
-            except _SessionRefused as exc:
-                last = ServiceUnavailable(f"server refused: {exc.code}")
-                if exc.code in (ERR_TIMEOUT, ERR_SHUTTING_DOWN):
+                assert self._reader is not None and self._writer is not None
+                self._writer.write(encode(payload))
+                await self._writer.drain()
+                for skipped in itertools.count():
+                    line = await asyncio.wait_for(
+                        self._reader.readline(), timeout=self.retry.read_timeout
+                    )
+                    if not line:
+                        raise ConnectionError("server closed the connection")
+                    result = self._match(line, payload["id"], skipped)
+                    if result is not None:
+                        return result
+            # ValueError: readline() overran the stream limit.
+            except (*_FAILURES, asyncio.TimeoutError, ValueError) as exc:
+                try:
+                    drop, delay = self._decide(payload, exc, attempt, self._writer is not None)
+                except (ServiceError, ServiceUnavailable):
                     await self._drop()
-                await self._sleep(attempt, exc.retry_after)
-            except (
-                OSError,
-                ConnectionError,
-                _StreamCorrupt,
-                asyncio.TimeoutError,
-                ValueError,
-            ) as exc:
-                ambiguous = self._writer is not None
-                await self._drop()
-                if ambiguous and not self._safe_to_resend(payload):
-                    raise ServiceUnavailable(
-                        "connection failed after an un-keyed mutating request "
-                        "was sent; outcome unknown, refusing to double-apply"
-                    ) from exc
-                last = exc
-                await self._sleep(attempt, None)
-        raise ServiceUnavailable(
-            f"{self.retry.max_attempts} attempts exhausted"
-        ) from last
-
-    async def _sleep(self, attempt: int, retry_after: Optional[float]) -> None:
-        if attempt + 1 >= self.retry.max_attempts:
-            return
-        await asyncio.sleep(self.retry.delay(attempt, self._rng, retry_after))
-
-    # -- typed helpers ---------------------------------------------------------
-
-    async def ping(self) -> bool:
-        return bool((await self.call({"op": "ping"})).get("pong"))
-
-    async def server_stats(self) -> Dict[str, Any]:
-        return await self.call({"op": "stats"})
-
-    async def health(self) -> Dict[str, Any]:
-        return await self.call({"op": "health"})
-
-    async def shutdown(self) -> bool:
-        return bool((await self.call({"op": "shutdown"})).get("shutting_down"))
-
-    async def snapshot(self) -> str:
-        """Force a snapshot cut; returns the written envelope path."""
-        return str((await self.call({"op": "snapshot"}))["path"])
-
-    async def allocate_batch(
-        self, requests: Sequence[Dict[str, Any]]
-    ) -> List[Dict[str, Any]]:
-        """Submit mutating sub-requests in one round trip.
-
-        Each entry is a mutating request document (``allocate`` /
-        ``allocate_retry`` / ``record``, no nesting); the server answers
-        with one response document per entry, in request order.
-        """
-        doc: Dict[str, Any] = {
-            "op": "allocate_batch",
-            "requests": [dict(sub) for sub in requests],
-        }
-        responses = (await self.call(doc))["responses"]
-        return list(responses) if isinstance(responses, list) else []
-
-    async def allocate(
-        self, category: str, task_id: int, key: Optional[str] = None
-    ) -> ResourceVector:
-        doc: Dict[str, Any] = {
-            "op": OP_ALLOCATE,
-            "category": category,
-            "task_id": task_id,
-        }
-        if key is not None:
-            doc["key"] = key
-        return ResourceVector.from_state((await self.call(doc))["allocation"])
-
-    async def allocate_retry(
-        self,
-        category: str,
-        task_id: int,
-        previous: ResourceVector,
-        observed: ResourceVector,
-        exhausted: Sequence[Union[Resource, str]],
-        key: Optional[str] = None,
-    ) -> ResourceVector:
-        doc: Dict[str, Any] = {
-            "op": OP_RETRY,
-            "category": category,
-            "task_id": task_id,
-            "previous": previous.state_dict(),
-            "observed": observed.state_dict(),
-            "exhausted": [str(res) for res in exhausted],
-        }
-        if key is not None:
-            doc["key"] = key
-        return ResourceVector.from_state((await self.call(doc))["allocation"])
-
-    async def record(
-        self,
-        category: str,
-        peaks: ResourceVector,
-        task_id: int,
-        significance: Optional[float] = None,
-        key: Optional[str] = None,
-    ) -> int:
-        doc: Dict[str, Any] = {
-            "op": OP_RECORD,
-            "category": category,
-            "task_id": task_id,
-            "peaks": peaks.state_dict(),
-        }
-        if significance is not None:
-            doc["significance"] = significance
-        if key is not None:
-            doc["key"] = key
-        return int((await self.call(doc))["records_count"])
+                    raise
+                if drop:
+                    await self._drop()
+                await asyncio.sleep(delay)

@@ -16,6 +16,7 @@ replay would trip over it).
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.core.resources import Resource
@@ -126,6 +127,16 @@ def _require_int(doc: Mapping[str, Any], key: str) -> None:
         raise ProtocolError(f"{doc.get('op')}: {key!r} must be an integer")
 
 
+def _finite(value: Any) -> bool:
+    """Is ``value`` a JSON number that converts to a finite float?"""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _require_vector(
     doc: Mapping[str, Any], key: str, resources: Sequence[Resource]
 ) -> None:
@@ -142,13 +153,9 @@ def _require_vector(
                 f"{doc.get('op')}: {key!r} names unmanaged resource {res_key!r} "
                 f"(managed: {sorted(managed)})"
             )
-        if isinstance(magnitude, bool) or not isinstance(magnitude, (int, float)):
+        if not _finite(magnitude) or magnitude < 0:
             raise ProtocolError(
-                f"{doc.get('op')}: {key!r}[{res_key!r}] must be a number"
-            )
-        if magnitude < 0 or magnitude != magnitude:
-            raise ProtocolError(
-                f"{doc.get('op')}: {key!r}[{res_key!r}] must be >= 0 and not NaN"
+                f"{doc.get('op')}: {key!r}[{res_key!r}] must be a finite number >= 0"
             )
 
 
@@ -209,11 +216,10 @@ def validate_request(
     elif op == OP_RECORD:
         _require_vector(doc, "peaks", resources)
         significance = doc.get("significance")
-        if significance is not None and (
-            isinstance(significance, bool)
-            or not isinstance(significance, (int, float))
-        ):
-            raise ProtocolError("record: 'significance' must be a number when given")
+        if significance is not None and not (_finite(significance) and significance > 0):
+            raise ProtocolError(
+                "record: 'significance' must be a finite number > 0 when given"
+            )
 
 
 def encode(doc: Mapping[str, Any]) -> bytes:

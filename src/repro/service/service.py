@@ -541,14 +541,7 @@ class AllocationService:
         is applied contiguously in request order, and requests on
         different shards touch disjoint allocators.
         """
-        for request in requests:
-            if not isinstance(request, dict):
-                raise ProtocolError("allocate_batch: every request must be an object")
-            if request.get("op") not in (OP_ALLOCATE, OP_RETRY, OP_RECORD):
-                raise ProtocolError(
-                    f"allocate_batch: nested op {request.get('op')!r} not allowed"
-                )
-            validate_request(request, self.resources, depth=1)
+        validate_request({"op": "allocate_batch", "requests": list(requests)}, self.resources)
         by_shard: Dict[int, List[int]] = {}
         for position, request in enumerate(requests):
             by_shard.setdefault(self.shard_for(request["category"]), []).append(position)

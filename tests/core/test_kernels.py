@@ -17,7 +17,6 @@ from repro.core.buckets import BucketState
 from repro.core.cost import exhaustive_cost
 from repro.core.exhaustive import evenly_spaced_break_indices
 from repro.core.kernels import (
-    HAVE_NUMBA,
     VECTOR_KERNEL_MIN_BUCKETS,
     partition_stats,
     partition_waste,
@@ -134,9 +133,8 @@ def test_trusted_bucket_state_equals_validated_state():
 
 
 def test_waste_kernel_dispatch_boundaries():
-    narrow = "numba" if HAVE_NUMBA else "scalar"
-    assert waste_kernel_name(1) == narrow
-    assert waste_kernel_name(VECTOR_KERNEL_MIN_BUCKETS - 1) == narrow
+    assert waste_kernel_name(1) == "scalar"
+    assert waste_kernel_name(VECTOR_KERNEL_MIN_BUCKETS - 1) == "scalar"
     assert waste_kernel_name(VECTOR_KERNEL_MIN_BUCKETS) == "vector"
     assert waste_kernel_name(10_000) == "vector"
 
@@ -151,7 +149,7 @@ def test_partition_waste_dispatch_agrees_across_tiers():
     auto = partition_waste(reps, probs, estimates)
     assert auto == pytest.approx(partition_waste_scalar(reps, probs, estimates), rel=1e-9)
     # At the paper's cap the dispatcher must round exactly like the
-    # scalar kernel (numba, when present, shares its operation order).
+    # scalar kernel.
     narrow_breaks = evenly_spaced_break_indices(records, 10)
     r, p, e = partition_stats(records, narrow_breaks)
     assert partition_waste(r, p, e) == partition_waste_scalar(r, p, e)

@@ -25,8 +25,8 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
 )
-from repro.service.client import _BaseClient
-from repro.service.protocol import MAX_LINE_BYTES
+from repro.service.client import ServiceUnavailable, _BaseClient, _SessionRefused
+from repro.service.protocol import MAX_LINE_BYTES, RETRYABLE_CODES
 
 
 def _config(**overrides):
@@ -84,7 +84,7 @@ def test_retry_policy_validation():
 
 
 def test_auto_key_stamps_mutating_ops_only():
-    client = _BaseClient(client_id="c1")
+    client = _BaseClient(socket_path="unused.sock", client_id="c1")
     allocate = client._prepare({"op": "allocate", "category": "a", "task_id": 1})
     assert allocate["key"] == "c1/1"
     assert allocate["id"] == "c1#1"
@@ -97,9 +97,27 @@ def test_auto_key_stamps_mutating_ops_only():
 
 
 def test_auto_key_off_leaves_ops_bare():
-    client = _BaseClient(auto_key=False, client_id="c2")
+    client = _BaseClient(socket_path="unused.sock", auto_key=False, client_id="c2")
     doc = client._prepare({"op": "allocate", "category": "a", "task_id": 1})
     assert "key" not in doc
+
+
+def test_auto_key_stamps_nested_batch_requests():
+    client = _BaseClient(socket_path="unused.sock", client_id="c3")
+    requests = [
+        {"op": "allocate", "category": "a", "task_id": 1},
+        {"op": "record", "category": "a", "task_id": 1, "peaks": {"memory": 1.0}, "key": "mine"},
+        {"op": "allocate_retry", "category": "b", "task_id": 2},
+    ]
+    batch = client._prepare({"op": "allocate_batch", "requests": requests})
+    assert [sub["key"] for sub in batch["requests"]] == ["c3/1", "mine", "c3/2"]
+    assert "key" not in batch  # only the nested requests are applied
+    assert "key" not in requests[0]  # the caller's documents are not mutated
+    assert _BaseClient._safe_to_resend(batch)
+    bare = _BaseClient(socket_path="unused.sock", auto_key=False, client_id="c4")
+    assert not _BaseClient._safe_to_resend(
+        bare._prepare({"op": "allocate_batch", "requests": requests})
+    )
 
 
 def test_safe_to_resend_rules():
@@ -111,6 +129,58 @@ def test_safe_to_resend_rules():
     assert not safe({"op": "record"})
     assert safe({"op": "allocate_batch", "requests": [{"op": "allocate", "key": "k"}]})
     assert not safe({"op": "allocate_batch", "requests": [{"op": "allocate"}]})
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["early", "last"])
+@pytest.mark.parametrize("keyed", [False, True], ids=["unkeyed", "keyed"])
+@pytest.mark.parametrize("connected", [False, True], ids=["idle", "connected"])
+@pytest.mark.parametrize("code", [None, *RETRYABLE_CODES, "too_large", "bad_request"])
+def test_retry_decision_table(code, connected, keyed, last):
+    """The one retry decision, over failure x connected x keyed x last attempt.
+
+    ``code`` None is a transport failure; otherwise the server refused
+    the request with that typed code (``bad_request`` and ``too_large``
+    as the server sends them: without an ``id``, for a garbled or an
+    oversized line).  No sockets are involved.
+    """
+    policy = RetryPolicy(max_attempts=3, seed=5)
+    client = _BaseClient(socket_path="unused.sock", retry=policy, client_id="d")
+    payload = {"op": "allocate", "category": "a", "task_id": 1, "id": "d#1"}
+    if keyed:
+        payload["key"] = "d/1"
+    if code is None:
+        failure = ConnectionResetError("reset")
+    else:
+        failure = _SessionRefused(code, "refused", None)
+    attempt = policy.max_attempts - 1 if last else 0
+
+    def decide():
+        return client._decide(payload, failure, attempt, connected)
+
+    if code == "too_large":
+        with pytest.raises(ServiceError) as permanent:
+            decide()
+        assert permanent.value.code == code
+    elif code is None and connected and not keyed:
+        with pytest.raises(ServiceUnavailable, match="outcome unknown"):
+            decide()
+    elif last:
+        with pytest.raises(ServiceUnavailable, match="attempts exhausted"):
+            decide()
+    else:
+        drop, delay = decide()
+        assert drop == (code in (None, "timeout", "shutting_down"))
+        assert delay == policy.delay(0, random.Random(5))  # first draw of the seeded RNG
+        return
+    # Giving up never consumes a backoff draw.
+    assert client._rng.random() == random.Random(5).random()
+
+
+def test_retry_decision_honors_retry_after():
+    client = _BaseClient(socket_path="unused.sock", client_id="d")
+    failure = _SessionRefused("overloaded", "busy", 0.75)
+    drop, delay = client._decide({"op": "ping", "id": "d#1"}, failure, 0, True)
+    assert not drop and delay >= 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +348,52 @@ def test_oversized_line_gets_typed_error_and_clean_close(tmp_path):
         await service.stop()
 
     asyncio.run(scenario())
+
+
+def _oversized_batch():
+    """A batch whose request line is over the protocol cap."""
+    return [{"op": "allocate", "category": "c" * 2000, "task_id": i} for i in range(600)]
+
+
+def test_oversized_batch_raises_too_large_at_once_sync(tmp_path):
+    """An id-less permanent refusal is raised, not slept on and resent."""
+
+    async def scenario():
+        sock, service, server = await _serve(str(tmp_path))
+
+        def drive():
+            with ServiceClient(socket_path=sock, client_id="big-sync") as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.allocate_batch(_oversized_batch())
+                attempts = client.attempts
+                assert client.ping()  # the next call dials a fresh session
+                return excinfo.value.code, attempts
+
+        code, attempts = await asyncio.to_thread(drive)
+        await server.stop()
+        await service.stop()
+        return code, attempts
+
+    code, attempts = asyncio.run(scenario())
+    assert code == "too_large"
+    assert attempts == 1
+
+
+def test_oversized_batch_raises_too_large_at_once_async(tmp_path):
+    async def scenario():
+        sock, service, server = await _serve(str(tmp_path))
+        async with AsyncServiceClient(socket_path=sock, client_id="big-async") as client:
+            with pytest.raises(ServiceError) as excinfo:
+                await client.allocate_batch(_oversized_batch())
+            attempts = client.attempts
+            assert await client.ping()
+        await server.stop()
+        await service.stop()
+        return excinfo.value.code, attempts
+
+    code, attempts = asyncio.run(scenario())
+    assert code == "too_large"
+    assert attempts == 1
 
 
 def test_sync_client_reconnects_after_server_restart(tmp_path):

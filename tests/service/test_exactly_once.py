@@ -336,6 +336,73 @@ def test_batch_with_duplicate_keys_is_exactly_once():
     assert batch[1]["seq"] == first["seq"] + 1  # only the new key consumed a seq
 
 
+async def _proxy_losing_first_response(upstream: str, downstream: str):
+    """A UNIX proxy whose first connection delivers one request, then
+    hangs up before its response reaches the client."""
+    sessions = 0
+
+    async def handle(reader, writer):
+        nonlocal sessions
+        sessions += 1
+        lose_response = sessions == 1
+        up_reader, up_writer = await asyncio.open_unix_connection(upstream)
+        try:
+            while line := await reader.readline():
+                up_writer.write(line)
+                await up_writer.drain()
+                response = await up_reader.readline()
+                if lose_response:
+                    break  # applied upstream; the client never hears of it
+                writer.write(response)
+                await writer.drain()
+        finally:
+            up_writer.close()
+            writer.close()
+
+    return await asyncio.start_unix_server(handle, path=downstream)
+
+
+def test_batch_survives_dropped_connection_exactly_once(tmp_path):
+    """An auto-keyed batch resent after a lost response is applied once."""
+    from repro.service import AllocationServer, AsyncServiceClient, RetryPolicy
+
+    requests = [
+        {"op": "allocate", "category": CATEGORIES[i % 3], "task_id": i} for i in range(9)
+    ]
+
+    async def scenario():
+        upstream = str(tmp_path / "up.sock")
+        downstream = str(tmp_path / "down.sock")
+        service = AllocationService(_config())
+        await service.start()
+        server = AllocationServer(service, socket_path=upstream)
+        await server.start()
+        proxy = await _proxy_losing_first_response(upstream, downstream)
+        client = AsyncServiceClient(
+            socket_path=downstream,
+            client_id="batch-drop",
+            retry=RetryPolicy(backoff_base=0.01, backoff_max=0.05),
+        )
+        try:
+            responses = await client.allocate_batch(requests)
+        finally:
+            await client.close()
+            proxy.close()
+            await proxy.wait_closed()
+            await server.stop()
+        total_seq = sum(shard.seq for shard in service.shards)
+        hits = sum(shard.dedup_hits for shard in service.shards)
+        await service.stop()
+        return responses, total_seq, hits, client.stats()
+
+    responses, total_seq, hits, stats = asyncio.run(scenario())
+    assert stats["retries"] == 1 and stats["reconnects"] == 1
+    assert len(responses) == len(requests)
+    assert all("allocation" in response for response in responses)
+    assert total_seq == len(requests)  # applied once ...
+    assert hits == len(requests)  # ... and the resend answered from the dedup window
+
+
 # ---------------------------------------------------------------------------
 # The daemon: hard os._exit at a crash site, restart, keyed retry
 # ---------------------------------------------------------------------------

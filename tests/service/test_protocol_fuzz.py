@@ -253,3 +253,46 @@ def test_nothing_invalid_reaches_the_wal(tmp_path_factory, garbage_lines):
     assert len(entries) == applied  # one WAL entry per applied op, no more
     for entry in entries:
         validate_request(entry["op"], RESOURCES)  # must not raise
+
+
+# ---------------------------------------------------------------------------
+# Numbers json parses but the allocator cannot apply
+# ---------------------------------------------------------------------------
+
+
+def _record_line(peak: str, extra: str = "") -> bytes:
+    return (
+        '{"id": "bad", "op": "record", "category": "proc", "task_id": 7, '
+        f'"peaks": {{"memory": {peak}}}{extra}}}\n'
+    ).encode()
+
+
+UNAPPLIABLE_LINES = {
+    "peak-1e999": _record_line("1e999"),
+    "peak-inf": _record_line("Infinity"),
+    "peak-neg-inf": _record_line("-Infinity"),
+    "peak-nan": _record_line("NaN"),
+    "peak-huge-int": _record_line("1" + "0" * 400),
+    "significance-0": _record_line("100", ', "significance": 0'),
+    "significance-neg": _record_line("100", ', "significance": -1'),
+    "significance-1e999": _record_line("100", ', "significance": 1e999'),
+    "significance-nan": _record_line("100", ', "significance": NaN'),
+}
+
+
+@pytest.mark.parametrize(
+    "line", UNAPPLIABLE_LINES.values(), ids=list(UNAPPLIABLE_LINES)
+)
+def test_unappliable_numbers_are_refused_before_the_wal(tmp_path, line):
+    doc = parse_line(line.rstrip(b"\n"))
+    with pytest.raises(ProtocolError) as excinfo:
+        validate_request(doc, RESOURCES)
+    assert excinfo.value.code == "bad_request"
+    lines = [_valid_request(0), line, _valid_request(1)]
+    data_dir = str(tmp_path / "state")
+    responses, ping = asyncio.run(_fuzz_session(str(tmp_path), lines, data_dir=data_dir))
+    assert ping["ok"] is True
+    first, refused, second = responses
+    assert refused["ok"] is False and refused["error"]["code"] == "bad_request"
+    # Nothing was logged or applied: the shard seq did not move.
+    assert second["result"]["seq"] == first["result"]["seq"] + 1
