@@ -18,17 +18,20 @@ are MB, time is seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 
-@dataclass(frozen=True)
 class Resource:
     """A kind of consumable resource, e.g. cores or memory.
 
-    Resources are identified by ``key``; two ``Resource`` instances with
-    the same key compare equal.  ``unit`` and ``description`` are
-    presentation metadata only.
+    Resources are interned: there is exactly one instance per ``key``,
+    so ``Resource("cores") is CORES``.  Constructing a resource whose key
+    is already known returns the existing instance unchanged (``unit``
+    and ``divisible`` are only read the first time a key is seen), and
+    pickling, ``copy`` and ``deepcopy`` all hand back that instance too.
+    Equality and hashing are therefore plain identity, which keeps the
+    dict lookups of worker fit checks at C speed.  Instances are
+    immutable.
 
     Attributes
     ----------
@@ -42,27 +45,46 @@ class Resource:
         them up; the allocator never forces integrality).
     """
 
+    __slots__ = ("key", "unit", "divisible")
+
     key: str
-    unit: str = ""
-    divisible: bool = True
+    unit: str
+    divisible: bool
 
-    def __post_init__(self) -> None:
-        if not self.key or not self.key.replace("_", "").isalnum():
-            raise ValueError(f"invalid resource key: {self.key!r}")
+    def __new__(cls, key: str, unit: str = "", divisible: bool = True) -> "Resource":
+        existing = _INTERNED.get(key)
+        if existing is not None:
+            return existing
+        if not isinstance(key, str) or not key or not key.replace("_", "").isalnum():
+            raise ValueError(f"invalid resource key: {key!r}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "divisible", divisible)
+        # setdefault is atomic: a racing constructor gets the winner.
+        return _INTERNED.setdefault(key, self)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Resource):
-            return self.key == other.key
-        return NotImplemented
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Resource is immutable (cannot set {name!r})")
 
-    def __hash__(self) -> int:
-        return hash(self.key)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Resource is immutable (cannot delete {name!r})")
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, str, bool]]:
+        # Unpickling, copy and deepcopy all re-intern through here: a
+        # spawn worker gets its own canonical instance, created with the
+        # same metadata if the key is new there.
+        return (Resource, (self.key, self.unit, self.divisible))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Resource({self.key!r})"
 
     def __str__(self) -> str:
         return self.key
+
+
+#: key -> the one :class:`Resource` instance for that key.
+_INTERNED: Dict[str, Resource] = {}
 
 
 class _ResourceNamespace:
@@ -72,15 +94,13 @@ class _ResourceNamespace:
     kinds (e.g. ``gpus``) so downstream users can extend the allocator
     without patching this module — the paper lists "an extension to
     additional resource types" as future work, and this hook is how the
-    repo supports it.
+    repo supports it.  The registry is a view of the intern table, so a
+    kind constructed directly with :class:`Resource` is known too.
     """
-
-    def __init__(self) -> None:
-        self._by_key: Dict[str, Resource] = {}
 
     def register(self, key: str, unit: str = "", divisible: bool = True) -> Resource:
         """Register (or fetch, if identical) a resource kind by key."""
-        existing = self._by_key.get(key)
+        existing = _INTERNED.get(key)
         if existing is not None:
             if existing.unit != unit and unit:
                 raise ValueError(
@@ -88,22 +108,20 @@ class _ResourceNamespace:
                     f"{existing.unit!r}, not {unit!r}"
                 )
             return existing
-        resource = Resource(key=key, unit=unit, divisible=divisible)
-        self._by_key[key] = resource
-        return resource
+        return Resource(key, unit, divisible)
 
     def get(self, key: str) -> Resource:
         """Look up a registered resource kind by key."""
         try:
-            return self._by_key[key]
+            return _INTERNED[key]
         except KeyError:
             raise KeyError(
-                f"unknown resource {key!r}; registered: {sorted(self._by_key)}"
+                f"unknown resource {key!r}; registered: {sorted(_INTERNED)}"
             ) from None
 
     def known(self) -> Tuple[Resource, ...]:
         """All registered resource kinds, in registration order."""
-        return tuple(self._by_key.values())
+        return tuple(_INTERNED.values())
 
 
 RESOURCES = _ResourceNamespace()

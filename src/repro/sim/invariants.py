@@ -87,15 +87,14 @@ class InvariantChecker:
             )
         self._last_now = now
         for worker in self._manager.pool.alive_workers():
-            committed = worker.committed_values()
-            for res, cap in worker.capacity.raw.items():
-                value = committed[res]
-                if value > cap * (1.0 + _RTOL) + 1e-9:
-                    raise InvariantViolation(
-                        f"worker {worker.worker_id} overcommitted at t={now}: "
-                        f"{res.key} committed={value} > capacity={cap} "
-                        f"(running={worker.running_task_ids})"
-                    )
+            over = worker.overcommit(_RTOL)
+            if over is not None:
+                res, value, cap = over
+                raise InvariantViolation(
+                    f"worker {worker.worker_id} overcommitted at t={now}: "
+                    f"{res.key} committed={value} > capacity={cap} "
+                    f"(running={worker.running_task_ids})"
+                )
         if not self._manager.ledger.identity_holds():
             raise InvariantViolation(
                 f"ledger identity broken at t={now}: allocation != "

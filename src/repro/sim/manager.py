@@ -501,17 +501,19 @@ class WorkflowManager:
             )
         return self._allocator.version(task.category)
 
-    def _may_dispatch(self, task: SimTask) -> bool:
+    def _may_dispatch(self, category: str) -> bool:
         """Exploratory concurrency gate (see ExploratoryConfig).
 
         While a category is still collecting its bootstrap records, only
         a bounded number of its tasks may run at once; the rest wait in
         the queue so their dispatch-time predictions can use the records
-        the explorers produce.
+        the explorers produce.  Within one dispatch scan a closed gate
+        stays closed: placements only raise the running count, and
+        records (which end exploration) arrive only between scans.
         """
-        if not self._allocator.in_exploration(task.category):
+        if not self._allocator.in_exploration(category):
             return True
-        running = self._running_per_category.get(task.category, 0)
+        running = self._running_per_category.get(category, 0)
         return running < self._explore_concurrency
 
     # -- submission pacing -----------------------------------------------------------------

@@ -19,9 +19,15 @@ Two properties matter for fidelity and speed:
   escalation ladder must not be re-rolled, or progress is lost.
 * **Scan cost.**  Dispatch is FIFO with backfilling — the scan walks
   the whole queue so small tasks behind a large head are not starved —
-  and memoizes allocations that failed to fit within the scan: queues
-  full of identically allocated tasks (the common case) cost one
-  placement probe instead of one per task.
+  and it is one pass per :meth:`Scheduler.try_dispatch`.  Within a
+  scan, capacity only shrinks (placements reserve, nothing releases),
+  the memo of allocations that failed to fit only grows, and a policy
+  gate that closed a category stays closed, so a second walk over the
+  tasks this one left behind could not place any of them.  Allocations
+  that failed to fit are memoized, so queues full of identically
+  allocated tasks (the common case) cost one placement probe instead of
+  one per task, and a closed category's gate is asked once per scan,
+  not once per queued task.
 """
 
 from __future__ import annotations
@@ -46,14 +52,17 @@ class Scheduler:
         allocation_of: Callable[[SimTask], ResourceVector],
         allocation_version: Callable[[SimTask], Hashable],
         start_attempt: Callable[[SimTask, Worker], None],
-        may_dispatch: Optional[Callable[[SimTask], bool]] = None,
+        may_dispatch: Optional[Callable[[str], bool]] = None,
     ) -> None:
         self._pool = pool
         self._allocation_of = allocation_of
         self._allocation_version = allocation_version
         self._start_attempt = start_attempt
-        #: Policy gate evaluated before placement (e.g. the exploratory
-        #: concurrency bound); gated tasks stay queued.
+        #: Per-category policy gate evaluated before placement (e.g. the
+        #: exploratory concurrency bound); gated tasks stay queued.  Within
+        #: one scan a gate that returned False must keep returning False
+        #: (placements can only close it), so it is asked once per closed
+        #: category per scan.
         self._may_dispatch = may_dispatch
         self._ready: Deque[SimTask] = deque()
         #: task_id -> version of the allocator state the cached first-
@@ -126,60 +135,61 @@ class Scheduler:
 
     def try_dispatch(self) -> int:
         """Place every queued task that fits a worker; returns the count."""
-        if self._dispatching:
+        if self._dispatching or not self._ready or not self._pool.has_headroom():
+            # Re-entrant call, empty queue or saturated pool: nothing to do.
             return 0
         self._dispatching = True
         dispatched = 0
+        may_dispatch = self._may_dispatch
+        # Allocations that failed to fit anywhere in this scan: identical
+        # requests behind them cannot fit either.
+        unfit: Set[ResourceVector] = set()
+        # Categories whose gate said no; it cannot reopen within a scan.
+        closed: Set[str] = set()
+        still_waiting: Deque[SimTask] = deque()
         try:
-            made_progress = True
-            while made_progress:
-                made_progress = False
-                if not self._ready or not self._pool.has_headroom():
-                    # Saturated pool: nothing can be placed, skip the scan.
-                    break
-                # Allocations that failed to fit anywhere in this pass:
-                # identical requests behind them cannot fit either.
-                unfit: Set[ResourceVector] = set()
-                still_waiting: Deque[SimTask] = deque()
-                while self._ready:
-                    task = self._ready.popleft()
-                    if self._may_dispatch is not None and not self._may_dispatch(task):
+            while self._ready:
+                task = self._ready.popleft()
+                if may_dispatch is not None:
+                    category = task.category
+                    if category in closed:
                         still_waiting.append(task)
                         continue
-                    allocation = self._probe_allocation(task)
-                    if allocation in unfit:
+                    if not may_dispatch(category):
+                        closed.add(category)
                         still_waiting.append(task)
                         continue
-                    worker = self._pool.find_fit(allocation)
+                allocation = self._probe_allocation(task)
+                if allocation in unfit:
+                    still_waiting.append(task)
+                    continue
+                worker = self._pool.find_fit(allocation)
+                if worker is None:
+                    unfit.add(allocation)
+                    still_waiting.append(task)
+                    continue
+                # A worker can host the (possibly stale) probe: now take
+                # the dispatch-time prediction and re-validate.
+                fresh = self._fresh_allocation(task)
+                if fresh is not allocation:
+                    worker = self._pool.find_fit(fresh)
                     if worker is None:
-                        unfit.add(allocation)
+                        unfit.add(fresh)
                         still_waiting.append(task)
                         continue
-                    # A worker can host the (possibly stale) probe: now
-                    # take the dispatch-time prediction and re-validate.
-                    fresh = self._fresh_allocation(task)
-                    if fresh is not allocation:
-                        worker = self._pool.find_fit(fresh)
-                        if worker is None:
-                            unfit.add(fresh)
-                            still_waiting.append(task)
-                            continue
-                    task.state = TaskState.RUNNING
-                    self._sticky.discard(task.task_id)
-                    self._cached_version.pop(task.task_id, None)
-                    self._total_dispatches += 1
-                    dispatched += 1
-                    made_progress = True
-                    self._start_attempt(task, worker)
-                    if not self._pool.has_headroom():
-                        # The placement saturated the pool; the rest of
-                        # the queue cannot possibly be placed this scan.
-                        still_waiting.extend(self._ready)
-                        self._ready.clear()
-                        made_progress = False
-                        break
-                self._ready = still_waiting
+                task.state = TaskState.RUNNING
+                self._sticky.discard(task.task_id)
+                self._cached_version.pop(task.task_id, None)
+                self._total_dispatches += 1
+                dispatched += 1
+                self._start_attempt(task, worker)
+                if not self._pool.has_headroom():
+                    # The placement saturated the pool; the rest of the
+                    # queue cannot possibly be placed this scan.
+                    break
         finally:
+            still_waiting.extend(self._ready)
+            self._ready = still_waiting
             self._dispatching = False
         return dispatched
 

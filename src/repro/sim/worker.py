@@ -66,16 +66,21 @@ class Worker:
     def free_capacity(self) -> ResourceVector:
         return ResourceVector({r: max(0.0, v) for r, v in self._free.items()})
 
-    def committed_values(self) -> Dict[Resource, float]:
-        """Raw committed magnitudes per resource, without validation.
+    def overcommit(self, rtol: float) -> Optional[Tuple[Resource, float, float]]:
+        """First ``(resource, committed, capacity)`` over capacity, else None.
 
-        Unlike :attr:`committed` this can represent an *overcommitted*
-        state (committed > capacity), which is exactly what the
-        invariant checker needs to be able to see.
+        Committed is ``capacity - free`` per resource, without clamping,
+        so unlike :attr:`committed` it can show an *overcommitted* state,
+        which is exactly what the invariant checker needs to see.  A
+        resource is over when committed exceeds ``capacity * (1 + rtol)
+        + 1e-9``.
         """
-        return {
-            res: self.capacity.raw[res] - free for res, free in self._free.items()
-        }
+        free = self._free
+        for res, cap in self.capacity.raw.items():
+            value = cap - free[res]
+            if value > cap * (1.0 + rtol) + 1e-9:
+                return res, value, cap
+        return None
 
     def can_fit(self, allocation: ResourceVector) -> bool:
         """Whether an additional task with this allocation fits now."""

@@ -1,5 +1,9 @@
 """Tests for the resource model."""
 
+import copy
+import json
+import pickle
+
 import pytest
 
 from repro.core.resources import (
@@ -53,6 +57,56 @@ class TestResource:
             Resource("")
         with pytest.raises(ValueError):
             Resource("no spaces")
+
+
+class TestInterning:
+    """One instance per key: equality and hashing are identity."""
+
+    def test_construction_returns_the_canonical_instance(self):
+        assert Resource("cores") is CORES
+        assert Resource("cores", unit="whatever") is CORES
+        assert CORES.unit == "cores"  # a later constructor changes nothing
+        fresh = Resource("interned_kind", unit="widgets")
+        assert Resource("interned_kind") is fresh
+        assert RESOURCES.register("interned_kind") is fresh
+        assert resource("interned_kind") is fresh
+
+    def test_register_and_constructor_share_one_table(self):
+        registered = RESOURCES.register("shared_table_kind", unit="u")
+        assert Resource("shared_table_kind") is registered
+
+    def test_instances_are_immutable(self):
+        with pytest.raises(AttributeError):
+            CORES.unit = "MB"
+        with pytest.raises(AttributeError):
+            CORES.key = "memory"
+        with pytest.raises(AttributeError):
+            del CORES.divisible
+        assert CORES.key == "cores" and CORES.unit == "cores"
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [
+            lambda r: pickle.loads(pickle.dumps(r)),
+            lambda r: pickle.loads(pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "pickle-highest", "copy", "deepcopy"],
+    )
+    def test_round_trips_return_the_same_instance(self, round_trip):
+        for res in (CORES, MEMORY, DISK, TIME):
+            assert round_trip(res) is res
+        vector = round_trip(ResourceVector.of(cores=2, memory=512))
+        assert all(key is resource(key.key) for key in vector.raw)
+        assert vector[CORES] == 2.0 and vector[MEMORY] == 512.0
+
+    def test_from_state_keeps_identity_keys(self):
+        vector = ResourceVector.of(cores=1.5, memory=700, disk=30, time=60)
+        state = json.loads(json.dumps(vector.state_dict()))
+        back = ResourceVector.from_state(state)
+        assert back == vector
+        assert [key is orig for key, orig in zip(back.raw, vector.raw)] == [True] * 4
 
 
 class TestResourceVector:

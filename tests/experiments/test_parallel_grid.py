@@ -7,9 +7,11 @@ to the serial path.
 """
 
 import dataclasses
+import json
 
 import pytest
 
+from repro.core.resources import resource
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_grid
 
@@ -61,3 +63,25 @@ def test_parallel_grid_is_self_deterministic():
 def test_invalid_jobs_rejected():
     with pytest.raises(ValueError):
         run_grid(workflows=("uniform",), algorithms=("max_seen",), jobs=0)
+
+
+@pytest.mark.slow
+def test_parallel_grid_results_are_byte_identical_to_serial():
+    """Results pickled back from spawn workers carry the canonical
+    resources and serialize to exactly the serial grid's bytes."""
+    config = ExperimentConfig(n_tasks=40, n_workers=4)
+    kwargs = dict(workflows=("bimodal",), algorithms=ALGORITHMS[1:], config=config)
+    serial = run_grid(jobs=1, **kwargs)
+    parallel = run_grid(jobs=2, **kwargs)
+
+    def dump(grid):
+        docs = {}
+        for key, result in sorted(grid.cells.items()):
+            state = result.state_dict()
+            state.pop("wall_clock_seconds")  # the one non-reproducible field
+            docs["/".join(key)] = state
+        return json.dumps(docs, sort_keys=True).encode()
+
+    assert dump(parallel) == dump(serial)
+    for result in parallel.cells.values():
+        assert all(res is resource(res.key) for res in result.ledger.resources)

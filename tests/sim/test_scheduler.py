@@ -10,10 +10,10 @@ from repro.sim.task import SimTask, TaskState
 from repro.workflows.spec import TaskSpec
 
 
-def make_task(task_id, cores=1.0, memory=100.0):
+def make_task(task_id, cores=1.0, memory=100.0, category="proc"):
     spec = TaskSpec(
         task_id=task_id,
-        category="proc",
+        category=category,
         consumption=ResourceVector.of(cores=cores, memory=memory, disk=10),
         duration=10.0,
     )
@@ -42,7 +42,7 @@ class SchedulerHarness:
             allocation_of=self._allocate,
             allocation_version=lambda task: self.version,
             start_attempt=self._start,
-            may_dispatch=lambda task: self.gate(task) if self.gate else True,
+            may_dispatch=lambda category: self.gate(category) if self.gate else True,
         )
 
     def _allocate(self, task):
@@ -135,14 +135,35 @@ class TestDispatch:
 
     def test_gate_blocks_dispatch(self):
         h = SchedulerHarness()
-        h.gate = lambda task: task.task_id != 0
-        h.scheduler.enqueue(make_task(0))
+        h.gate = lambda category: category != "held"
+        h.scheduler.enqueue(make_task(0, category="held"))
         h.scheduler.enqueue(make_task(1))
         h.scheduler.try_dispatch()
         assert h.started == [1]
         h.gate = None
         h.scheduler.try_dispatch()
         assert h.started == [1, 0]
+
+    def test_closed_gate_is_asked_once_per_scan(self):
+        h = SchedulerHarness(cores=8)
+        calls = []
+
+        def gate(category):
+            calls.append(category)
+            return category != "held"
+
+        h.gate = gate
+        for i in range(6):
+            h.scheduler.enqueue(make_task(i, category="held" if i % 2 else "proc"))
+        h.scheduler.try_dispatch()
+        assert h.started == [0, 2, 4]
+        # The open category is asked per task; the closed one only once.
+        assert calls.count("held") == 1
+        assert calls.count("proc") == 3
+        calls.clear()
+        h.scheduler.try_dispatch()
+        # A new scan asks again: the gate may have reopened in between.
+        assert calls == ["held"]
 
     def test_enqueue_requires_ready_state(self):
         h = SchedulerHarness()
